@@ -10,15 +10,13 @@ hard identity gate and a trend number:
   ways on the largest generator graph: a serial single-thread
   ``GraphEngine.query`` loop (the PR-3 serving path — the baseline all
   speedups are relative to), the service's own single-thread loop
-  (epoch serving: the per-epoch answer memo reaches single queries), a
-  thread-pool :class:`~repro.service.executor.QueryExecutor` at several
-  worker counts, and — where POSIX fork exists — a fork-pool executor
-  whose children inherit the pre-warmed epoch copy-on-write.  Every
-  service answer must be byte-identical to the engine loop's (gate);
-  the speedups are the trend.  Thread workers add no CPU parallelism
-  under the GIL (per-epoch amortisation is the single-core lever; the
-  recorded ``cpus`` field says what parallelism was even possible),
-  fork workers do.
+  (epoch serving: the per-epoch answer memo reaches single queries), and
+  a :class:`~repro.service.executor.QueryExecutor` at several worker
+  counts.  Every service answer must be byte-identical to the engine
+  loop's (gate); the speedups are the trend.  Worker threads add no CPU
+  parallelism under the GIL (per-epoch amortisation is the single-core
+  lever; the recorded ``cpus`` field says what parallelism was even
+  possible).
 * **Readers during writes** — the randomized stress harness
   (:mod:`repro.service.epoch_stress`) runs reader threads *through* an
   executor while a writer publishes epoch after epoch; every recorded
@@ -141,42 +139,30 @@ def run(quick: bool = True) -> ExperimentResult:
 
     best_speedup = 0.0
     speedup_4 = 0.0
-    for mode in ("thread", "fork"):
-        if mode == "fork" and not hasattr(os, "fork"):
-            continue
-        for workers in worker_counts:
-            # Fresh epoch per measurement: rows must not inherit the
-            # previous pool's per-epoch answer memo.
-            service.refreeze()
-            _warm_epoch(service)
-            ex = QueryExecutor(service, workers, mode=mode, max_batch=128)
-            try:
-                ex.map(workload[:8])  # warm the pool (fork: spawn workers)
-                start = time.perf_counter()
-                answers = ex.map(workload)
-                elapsed = time.perf_counter() - start
-            finally:
-                ex.shutdown(wait=True)
-            identical &= [freeze_answer(a) for a in answers] == frozen_serial
-            speedup = t_serial / elapsed if elapsed else float("inf")
-            best_speedup = max(best_speedup, speedup)
-            if workers >= 4:
-                speedup_4 = max(speedup_4, speedup)
-            row = {
-                "graph": largest_name, "mode": mode, "workers": workers,
-                "queries": len(workload), "wall ms": round(elapsed * 1e3, 1),
-                "qps": round(len(workload) / elapsed, 1),
-                "speedup": round(speedup, 2),
-            }
-            # Tracked known-issues carry their marker in the payload too,
-            # so a reader of BENCH_service.json alone sees the row is
-            # reported-not-gated (the registry holds the why).
-            from repro.bench.regression import EXPECTED_REGRESSIONS
-
-            if ("service", (largest_name, mode, workers),
-                    "speedup") in EXPECTED_REGRESSIONS:
-                row["expected_regression"] = True
-            rows.append(row)
+    for workers in worker_counts:
+        # Fresh epoch per measurement: rows must not inherit the
+        # previous pool's per-epoch answer memo.
+        service.refreeze()
+        _warm_epoch(service)
+        ex = QueryExecutor(service, workers, max_batch=128)
+        try:
+            ex.map(workload[:8])  # warm the pool
+            start = time.perf_counter()
+            answers = ex.map(workload)
+            elapsed = time.perf_counter() - start
+        finally:
+            ex.shutdown(wait=True)
+        identical &= [freeze_answer(a) for a in answers] == frozen_serial
+        speedup = t_serial / elapsed if elapsed else float("inf")
+        best_speedup = max(best_speedup, speedup)
+        if workers >= 4:
+            speedup_4 = max(speedup_4, speedup)
+        rows.append({
+            "graph": largest_name, "mode": "thread", "workers": workers,
+            "queries": len(workload), "wall ms": round(elapsed * 1e3, 1),
+            "qps": round(len(workload) / elapsed, 1),
+            "speedup": round(speedup, 2),
+        })
 
     # -- fault-point instrumentation overhead ---------------------------
     # The robustness layer (repro.faults) compiles named fault points into
@@ -190,7 +176,7 @@ def run(quick: bool = True) -> ExperimentResult:
     def _exec_run() -> tuple:
         service.refreeze()
         _warm_epoch(service)
-        ex = QueryExecutor(service, 1, mode="thread", max_batch=128)
+        ex = QueryExecutor(service, 1, max_batch=128)
         try:
             ex.map(workload[:8])
             t0 = time.perf_counter()
@@ -316,7 +302,7 @@ def run(quick: bool = True) -> ExperimentResult:
     with installed(pct_registry):
         pct_service = EngineService(largest.copy())
         _warm_epoch(pct_service)
-        ex = QueryExecutor(pct_service, 4, mode="thread", max_batch=1)
+        ex = QueryExecutor(pct_service, 4, max_batch=1)
         try:
             ex.map(workload[:8])
             start = time.perf_counter()
@@ -362,8 +348,8 @@ def run(quick: bool = True) -> ExperimentResult:
 
     gated_checks = [
         (
-            "service answers (single-thread loop, thread and fork pools, all "
-            "worker counts) byte-identical to the serial engine loop",
+            "service answers (single-thread loop and executor, all worker "
+            "counts) byte-identical to the serial engine loop",
             identical,
             True,
         ),

@@ -43,22 +43,6 @@ EXPERIMENT_RATIOS: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "service": {"key": ("graph", "mode", "workers"), "ratios": ("speedup",)},
 }
 
-#: Tracked known-issues: ratios that are *expected* to sit below their
-#: baseline until the referenced follow-up lands.  A registered ratio is
-#: reported (with its reason) instead of gated — a known issue must stay
-#: visible in every report without failing CI, and removing the entry
-#: re-arms the gate.  Keys are ``(experiment, row key, ratio field)``
-#: with the row key as produced by ``_row_key`` over the spec's fields.
-EXPECTED_REGRESSIONS: Dict[Tuple[str, Tuple, str], str] = {
-    ("service", ("social", "fork", 4), "speedup"): (
-        "fork-4 concurrent speedup sits at ~0.18-0.2x serial: fork workers "
-        "cannot share the per-epoch coalescing answer memo across process "
-        "boundaries, so every worker recomputes warm answers (ROADMAP "
-        "follow-up: cross-process memo for fork pools)"
-    ),
-}
-
-
 def _is_gate(check: dict) -> bool:
     # Older payloads (kernels) predate the explicit flag; their only
     # semantic gate is the byte-identical backend check.
@@ -138,14 +122,6 @@ def compare_payloads(
                 lines.append(f"FAIL {label}: current value missing/non-numeric")
                 continue
             trend = _trend(history, experiment, key, field)
-            known = EXPECTED_REGRESSIONS.get((experiment, key, field))
-            if known is not None:
-                # Tracked known-issue: reported every run, never gated.
-                lines.append(
-                    f"note {label}: {cur_val:.2f} (baseline {base_val:.2f}) "
-                    f"expected regression — {known}{trend}"
-                )
-                continue
             floor = base_val * floor_factor
             if cur_val < floor:
                 ok = False

@@ -467,22 +467,6 @@ class Epoch:
                 "longer build representations"
             )
 
-    def _reset_locks_after_fork(self) -> None:
-        """Re-arm internal locks in a forked child (single-threaded again).
-
-        ``fork`` copies lock *state* but not the threads holding it: a lock
-        a sibling thread held at fork time would stay locked forever in the
-        child.  Worker processes inheriting a prewarmed epoch call this
-        before serving.
-        """
-        self._build_lock = threading.RLock()
-        self._pin_lock = threading.Lock()
-        for ctx in self._contexts.values():
-            ctx._reset_lock_after_fork()
-        reset = getattr(self.csr, "_reset_locks_after_fork", None)
-        if reset is not None:  # mmap views carry row-cache locks; CSR doesn't
-            reset()
-
     def describe(self) -> Dict[str, Any]:
         return {
             "version": self.version,

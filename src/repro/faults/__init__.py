@@ -10,7 +10,7 @@ the machinery that makes that contract machine-checkable:
   (:func:`fault_point` / :func:`fault_data`) compiled into the store,
   engine and service layers, plus :class:`FaultPlan` — a seeded,
   deterministic schedule of I/O errors, corrupted bytes, slow
-  computations and worker kills to fire at those points;
+  computations and process kills to fire at those points;
 * :mod:`repro.faults.deadline` — :func:`run_with_deadline`, the bounded
   execution helper behind epoch build deadlines and per-query timeouts;
 * :mod:`repro.faults.breaker` — :class:`CircuitBreaker`, the per-query-

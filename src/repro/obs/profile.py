@@ -20,7 +20,7 @@ Design constraints, in order:
   a pathological workload cannot grow the sample table without limit.
 * **Fork-aware** — ticker threads do not survive ``fork``; an
   ``os.register_at_fork`` handler re-arms the child's lock and marks the
-  profiler stopped, so an executor child forked mid-profile inherits a
+  profiler stopped, so a child forked mid-profile inherits a
   consistent (idle) profiler instead of a phantom "running" one.
 * **Low overhead** — one ``sys._current_frames()`` call per tick plus a
   bounded frame walk per thread; the service benchmark gates measured

@@ -3,8 +3,8 @@
 * :mod:`repro.service.front` — :class:`EngineService`, the thread-safe
   single-writer/many-reader session: immutable epoch snapshots published
   RCU-style, lock-free read paths, writer-lock-guarded ``apply``;
-* :mod:`repro.service.executor` — :class:`QueryExecutor`, the worker pool
-  (threads or forked processes) with adaptive micro-batching and
+* :mod:`repro.service.executor` — :class:`QueryExecutor`, the worker-thread
+  pool with adaptive micro-batching and
   future-based submission;
 * :mod:`repro.service.epoch_stress` — the randomized reader/writer stress
   harness both the tests and ``python -m repro.bench service`` run, plus
@@ -30,7 +30,6 @@ from repro.service.errors import (
     QueryTimeout,
     RetriesExhausted,
     ServiceFault,
-    WorkerDied,
 )
 from repro.service.executor import QueryExecutor
 from repro.service.front import EngineService
@@ -42,7 +41,6 @@ __all__ = [
     "QueryTimeout",
     "RetriesExhausted",
     "ServiceFault",
-    "WorkerDied",
     "build_schedule",
     "chaos_plan",
     "freeze_answer",

@@ -32,7 +32,6 @@ import time
 from contextlib import contextmanager
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -130,10 +129,6 @@ class EngineService:
         self._closed = False
         self._version = 0
         self._mmap_epochs = mmap_epochs
-        #: Called with each newly published epoch, after the swap and the
-        #: predecessor's retire (executor pools pre-fork here).  Exceptions
-        #: are swallowed — a hook must never fail a publication.
-        self._publish_hooks: List[Callable[[Epoch], None]] = []
         self._current: Epoch = self._make_epoch(0)
         #: Retired epochs whose readers have not drained yet (diagnostics).
         self._draining: List[Epoch] = []
@@ -401,34 +396,9 @@ class EngineService:
             self._version = new_epoch.version
             self._draining = [e for e in self._draining if not e.freed]
             self._draining.append(old)
-            hooks = list(self._publish_hooks)
         old.retire()
-        for hook in hooks:
-            try:
-                hook(new_epoch)
-            except Exception:  # noqa: BLE001 - hooks must not fail publication
-                obs_inc("service_publish_hook_errors_total")
         obs_inc("service_publications_total")
         return new_epoch
-
-    def add_publish_hook(self, hook: Callable[[Epoch], None]) -> None:
-        """Register *hook* to run after each publication (new epoch arg).
-
-        Hooks run on the publishing thread, after the epoch swap and the
-        predecessor's retire; exceptions are counted and swallowed.  The
-        executor uses this to pre-fork the next worker pool so the first
-        query after a publication does not pay the fork.
-        """
-        with self._publish_lock:
-            self._publish_hooks.append(hook)
-
-    def remove_publish_hook(self, hook: Callable[[Epoch], None]) -> None:
-        """Deregister *hook* (no-op when absent)."""
-        with self._publish_lock:
-            try:
-                self._publish_hooks.remove(hook)
-            except ValueError:
-                pass
 
     # ------------------------------------------------------------------
     # Verification (journal-backed)

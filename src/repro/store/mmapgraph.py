@@ -33,8 +33,9 @@ Trust model and identity:
   *without* a sidecar falls back to a full decode to derive it.
 
 Concurrency: row reads are thread-safe (a small LRU row cache behind one
-lock); forked workers inherit the map copy-on-write and must call
-:meth:`MmapGraph._reset_locks_after_fork` (the epoch fork hook does).
+lock); a forked child inherits the map copy-on-write, and the catalog's
+``os.register_at_fork`` handler calls
+:meth:`MmapGraph._reset_locks_after_fork` on every view it holds.
 The map is closed by :meth:`close` (or the context manager); the catalog
 keeps views open for the process lifetime, matching epoch pinning.
 """

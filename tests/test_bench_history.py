@@ -9,9 +9,7 @@ Three contracts:
   trajectories oldest-first with overall drift, and degrades gracefully
   on an empty history.
 * **Gate integration** — a loaded history adds a trend column to gate
-  lines, and a ratio registered in ``EXPECTED_REGRESSIONS`` is reported
-  (with its reason) instead of failing, while unregistered regressions
-  still fail.
+  lines, and a ratio below its band still fails.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from repro.bench.history import (
     result_payload,
     trend_cell,
 )
-from repro.bench.regression import EXPECTED_REGRESSIONS, compare_payloads
+from repro.bench.regression import compare_payloads
 
 
 def _service_payload(speedup: float, with_percentiles: bool = True) -> dict:
@@ -172,23 +170,6 @@ class TestGateIntegration:
         _, bare_lines = compare_payloads(baseline, current, tolerance=0.5)
         bare = next(ln for ln in bare_lines if "social/thread/4" in ln)
         assert "[trend" not in bare
-
-    def test_expected_regression_is_reported_not_gated(self):
-        assert ("service", ("social", "fork", 4), "speedup") \
-            in EXPECTED_REGRESSIONS
-        baseline = _service_payload(2.0, with_percentiles=False)
-        # fork/4 sits at 0.18 in current vs 0.18 baseline row — drop the
-        # baseline's fork row to 1.0 so it would fail hard if gated.
-        for row in baseline["rows"]:
-            if row["mode"] == "fork":
-                row["speedup"] = 1.0
-        current = _service_payload(2.0, with_percentiles=False)
-        ok, lines = compare_payloads(baseline, current, tolerance=0.5)
-        assert ok
-        fork_line = next(ln for ln in lines if "social/fork/4" in ln)
-        assert fork_line.startswith("note ")
-        assert "expected regression" in fork_line
-        assert "cross-process memo" in fork_line
 
     def test_unregistered_regression_still_fails(self):
         baseline = _service_payload(2.0, with_percentiles=False)

@@ -142,9 +142,15 @@ def test_regression_check_passes_within_tolerance(tmp_path, capsys):
     )
     (base / "BENCH_kernels.json").write_text(json.dumps(baseline))
     (cur / "BENCH_kernels.json").write_text(json.dumps(current))
-    assert bench_main(["check", "--baseline", str(base), "--current", str(cur)]) == 0
+    history = tmp_path / "history.jsonl"
+    assert bench_main(["check", "--baseline", str(base), "--current", str(cur),
+                       "--history", str(history)]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+    # The run's ratios were appended to the history it was pointed at.
+    [record] = [json.loads(ln) for ln in history.read_text().splitlines()]
+    assert record["source"] == "check"
+    assert record["ratios"] == {"g/scc+sig": {"speedup": 2.0}}
 
 
 def test_regression_check_fails_on_ratio_collapse_and_gate(tmp_path, capsys):
@@ -163,8 +169,15 @@ def test_regression_check_fails_on_ratio_collapse_and_gate(tmp_path, capsys):
     )
     (base / "BENCH_engine.json").write_text(json.dumps(baseline))
     (cur / "BENCH_engine.json").write_text(json.dumps(collapsed))
-    assert bench_main(["check", "--baseline", str(base), "--current", str(cur)]) == 1
+    history = tmp_path / "history.jsonl"
+    assert bench_main(["check", "--baseline", str(base), "--current", str(cur),
+                       "--history", str(history)]) == 1
     assert "FAIL" in capsys.readouterr().out
+    # A failing check still records its ratios, in the given history.
+    [record] = [json.loads(ln) for ln in history.read_text().splitlines()]
+    assert record["experiment"] == "engine"
+    assert record["ratios"] == {"g": {"warm/direct x": 0.4,
+                                      "batch/one-shot x": 1.5}}
 
     # A failing semantic gate fails the check even with healthy ratios.
     bad_gate = _bench_payload(

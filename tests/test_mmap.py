@@ -5,8 +5,8 @@ whole flag matrix, cross-hash-seed byte stability), the locality
 reordering, the ``.obl`` offsets sidecar, the row-lazy
 :class:`~repro.store.mmapgraph.MmapGraph` reader (answer identity with
 the eager decode, typed errors under bit-flip fuzzing — never a wrong
-graph), the catalog's ``base_mmap`` self-heal/prune contract, and the
-service/executor integration (mmap epochs, publication-time prefork).
+graph), the catalog's ``base_mmap`` self-heal/prune contract, and the service
+integration (mmap epochs).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.graph.generators import (
 )
 from repro.graph.kernels import csr_locality_order
 from repro.queries.reachability import ReachabilityQuery
-from repro.service import EngineService, QueryExecutor, freeze_answer
+from repro.service import EngineService, freeze_answer
 from repro.store import MmapGraph, SnapshotCatalog
 from repro.store.catalog import CatalogError, _SIDECAR_NAME
 from repro.store.format import (
@@ -490,7 +490,7 @@ def test_catalog_pruned_view_keeps_serving(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Service + executor integration
+# Service integration
 # ----------------------------------------------------------------------
 def _service_workload(g: DiGraph, seed: int, pairs: int = 25):
     rng = random.Random(seed)
@@ -535,36 +535,3 @@ def test_service_mmap_epochs_requires_catalog_and_csr(tmp_path):
         EngineService(
             _graph(seed=53), catalog, backend="dict", mmap_epochs=True
         )
-
-
-def test_executor_prefork_on_publish(tmp_path):
-    g = _graph(seed=61)
-    service = EngineService(g.copy())
-    direct = EngineService(g.copy())
-    queries = _service_workload(g, seed=3, pairs=8)
-    with QueryExecutor(service, 2, mode="fork", max_batch=4) as ex:
-        assert ex._pool is not None  # forked at construction, not first use
-        first = ex._pool
-        got = ex.submit_batch(queries).result(timeout=60)
-        assert [freeze_answer(a) for a in got] == [
-            freeze_answer(direct.query(q)) for q in queries
-        ]
-        nodes = g.node_list()
-        service.apply([("+", nodes[0], nodes[-1])])
-        direct.apply([("+", nodes[0], nodes[-1])])
-        # Publication schedules a background prefork for the new epoch.
-        deadline = time.time() + 30
-        while time.time() < deadline:
-            pool = ex._pool
-            if pool is not None and pool is not first and not pool.broken:
-                break
-            time.sleep(0.02)
-        else:
-            pytest.fail("publish hook never preforked the new epoch's pool")
-        got = ex.submit_batch(queries).result(timeout=60)
-        assert [freeze_answer(a) for a in got] == [
-            freeze_answer(direct.query(q)) for q in queries
-        ]
-    assert not service._publish_hooks  # hook removed on shutdown
-    service.close()
-    direct.close()
