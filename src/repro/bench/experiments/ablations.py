@@ -1,6 +1,6 @@
 """Ablations for this repo's implementation choices (beyond the paper).
 
-Two design decisions in DESIGN.md deserve measurement:
+Two design decisions of this implementation deserve measurement:
 
 * ``compressR`` computes ``Re`` with topologically-ordered bitsets instead
   of the paper's per-node BFS — same unique output, very different constant

@@ -62,5 +62,5 @@ def run(quick: bool = True) -> ExperimentResult:
         columns=["dataset", "G (KB)", "Gr (KB)", "2-hop on G (KB)", "2-hop on Gr (KB)"],
         rows=rows,
         checks=checks,
-        notes="2-hop built with pruned landmark labeling (DESIGN.md substitution)",
+        notes="2-hop built with pruned landmark labeling (see repro.index.twohop)",
     )

@@ -10,7 +10,7 @@ paper's crossover is ~20% of ``|E|``).
 This repo's optimized bitset ``compressR`` is reported as an ablation
 column: it is so much faster than the paper's variant that it beats
 cumulative incremental maintenance at these scales — an honest deviation
-recorded in EXPERIMENTS.md.
+from the paper, shown side by side in this experiment's table.
 """
 
 from __future__ import annotations

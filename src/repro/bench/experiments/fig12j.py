@@ -67,7 +67,7 @@ def run(quick: bool = True) -> ExperimentResult:
         checks=checks,
         notes=(
             "wikiVote's stand-in starts at the compression floor (~0.1%), so "
-            "its ratio can only wobble upward — a scale artifact recorded in "
-            "EXPERIMENTS.md; the suite-level trend matches the paper"
+            "its ratio can only wobble upward — a scale artifact of the "
+            "stand-in, not of compressR; the suite-level trend matches the paper"
         ),
     )

@@ -75,5 +75,5 @@ def run(quick: bool = True) -> ExperimentResult:
         ],
         rows=rows,
         checks=checks,
-        notes="synthetic stand-ins (see DESIGN.md); compare shape, not absolutes",
+        notes="synthetic stand-ins (see repro.datasets.catalog); compare shape, not absolutes",
     )

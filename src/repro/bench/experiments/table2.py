@@ -58,5 +58,5 @@ def run(quick: bool = True) -> ExperimentResult:
         columns=["dataset", "|V|", "|E|", "|L|", "PCr%", "paper PCr%", "RCr%"],
         rows=rows,
         checks=checks,
-        notes="synthetic stand-ins (see DESIGN.md); compare shape, not absolutes",
+        notes="synthetic stand-ins (see repro.datasets.catalog); compare shape, not absolutes",
     )

@@ -20,23 +20,25 @@ realises the paper's phases with explicit invariants:
    sources are non-redundant endpoints, which are in ``D`` —
    cf. the paper's ``incR`` and Lemma 9.)
 
-3. **Stratified local refinement** (the paper's ``PT(AFFi)``).  Nodes of
-   ``AFF`` are removed from the partition, re-ranked (Tarjan + rank formula
-   on the induced subgraph; cycles through ``AFF`` provably stay inside
-   ``AFF``), and refined from the (label, rank) grouping, reading frozen
-   class ids at the frontier.
-
-4. **SplitMerge.**  The frozen classes plus the refined ``AFF`` blocks form
-   a *stable* partition, and the quotient map of a stable partition is a
-   functional bisimulation; therefore two blocks merge in the maximum
-   bisimulation iff their quotient nodes are bisimilar in the quotient
-   graph.  Running the (batch) bisimulation algorithm on the quotient —
-   whose size is ``O(|Gr| + |AFF|)``, giving the paper's ``+|Gr|`` term —
-   yields exactly the needed merges: distinct frozen classes are never
-   bisimilar to each other (they were distinct classes of a maximum
-   bisimulation and their out-structure is untouched), so every merge joins
-   an affected block with at most one frozen class (Lemma 10's condition in
-   quotient form).
+3. **Refine the collapsed graph** (the paper's ``PT(AFFi)`` and
+   ``SplitMerge`` in one pass).  The nodes of ``AFF`` leave the partition.
+   The rest is collapsed onto its frozen blocks, giving a graph ``H`` with
+   one node per surviving frozen block (its edges are the quotient edges
+   the support counts still hold) and one node per ``AFF`` node (its edges
+   go to ``AFF`` nodes, or to the frozen block of a non-``AFF`` target).
+   One run of the CSR bisimulation kernel on ``H`` gives the new classes.
+   This is exact: ``AFF`` is ancestor-closed, so no non-``AFF`` node has an
+   edge into it, and the frozen blocks are classes of the previous maximum
+   bisimulation whose out-structure is untouched (minDelta let through
+   only updates that keep every successor-class set).  Mapping each non-``AFF``
+   node to its block is therefore a functional bisimulation onto ``H``, and
+   the maximum bisimulation of ``H`` pulls back to that of ``G ⊕ ΔG``.
+   Distinct frozen classes are never bisimilar (they were distinct classes
+   of a maximum bisimulation), so every ``H`` block holds at most one
+   frozen node: its ``AFF`` members join that block (Lemma 10's merge), and
+   a block with none becomes a fresh class.  The kernel does the rank
+   stratification itself.  ``|H| = O(|AFF| + |E(AFF)| + |Gr|)``, inside
+   the paper's ``O(|AFF|^2 + |Gr|)`` bound.
 
 The maintained partition is therefore always the *maximum* bisimulation of
 the updated graph, and the quotient equals ``compressB(G ⊕ ΔG)`` exactly;
@@ -50,10 +52,10 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.bisimulation import bisimulation_partition
 from repro.core.pattern import PatternCompression
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
+from repro.graph.kernels import csr_bisimulation_blocks
 from repro.graph.partition import Partition
-from repro.graph.rank import NEG_INF, Rank
-from repro.graph.scc import strongly_connected_components_within
 
 Node = Hashable
 EdgeUpdate = Tuple[str, Node, Node]
@@ -73,9 +75,6 @@ class IncrementalPatternCompressor:
         """
         self._g = graph.copy() if copy else graph
         self._partition: Partition = bisimulation_partition(self._g)
-        self._rank: Dict[Node, Rank] = {}
-        self._wf: Dict[Node, bool] = {}
-        self._recompute_ranks_within(set(self._g.nodes()))
         #: quotient edge -> number of supporting original edges.
         self._q_support: Dict[Tuple[int, int], int] = {}
         for u, v in self._g.edges():
@@ -133,10 +132,8 @@ class IncrementalPatternCompressor:
             self.last_redundant += 1
             return
         for x in new_nodes:
-            # Fresh singleton block; rank/wf recomputed with the affected set.
-            bid = self._partition.add_block([x])
-            self._rank[x] = 0
-            self._wf[x] = True
+            # Fresh singleton block, refined with the affected area.
+            self._partition.add_block([x])
             dirty.add(x)
         bv = self._partition.block_of(v)
         witness = any(
@@ -186,208 +183,81 @@ class IncrementalPatternCompressor:
         return seen
 
     # ------------------------------------------------------------------
-    # Rank maintenance (the paper's incR)
-    # ------------------------------------------------------------------
-    def _recompute_ranks_within(self, affected: Set[Node]) -> None:
-        """Recompute ``rb``/``WF`` for *affected*, frozen at the frontier.
-
-        Any cycle touching an affected node lies wholly inside the affected
-        set (it is ancestor-closed), so Tarjan restricted to the set sees
-        true SCCs; children outside contribute their cached rank/WF values,
-        which are still valid because their descendants are untouched.
-        """
-        comps = strongly_connected_components_within(self._g, affected)
-        for comp in comps:  # reverse topological order
-            comp_set = set(comp)
-            cyclic = len(comp) > 1 or any(
-                self._g.has_edge(x, x) for x in comp
-            )
-            children: Set[Node] = set()
-            for x in comp:
-                for c in self._g.successors(x):
-                    if c not in comp_set:
-                        children.add(c)
-            if not children:
-                rank: Rank = NEG_INF if cyclic else 0
-                wf = not cyclic
-            else:
-                wf = not cyclic and all(self._wf[c] for c in children)
-                best: Rank = NEG_INF
-                for c in children:
-                    candidate = self._rank[c] + 1 if self._wf[c] else self._rank[c]
-                    if candidate > best:
-                        best = candidate
-                rank = best
-            for x in comp:
-                self._rank[x] = rank
-                self._wf[x] = wf
-
-    # ------------------------------------------------------------------
-    # Stratified refinement + SplitMerge
+    # Refinement of the collapsed graph
     # ------------------------------------------------------------------
     def _rebuild_affected(self, affected: Set[Node]) -> None:
         partition = self._partition
+        block_of = partition.block_of
+        successors = self._g.successors
+        support = self._q_support
 
-        # (a) Detach affected nodes, keeping quotient support consistent.
-        old_block: Dict[Node, int] = {v: partition.block_of(v) for v in affected}
-
-        def support_delta(key: Tuple[int, int], delta: int) -> None:
-            new = self._q_support.get(key, 0) + delta
-            if new <= 0:
-                self._q_support.pop(key, None)
-            else:
-                self._q_support[key] = new
-
-        for v in affected:
-            for w in self._g.successors(v):
-                bw = old_block[w] if w in affected else partition.block_of(w)
-                support_delta((old_block[v], bw), -1)
-            for p in self._g.predecessors(v):
-                if p in affected:
-                    continue  # counted from the source side
-                support_delta((partition.block_of(p), old_block[v]), -1)
-        for v in affected:
+        # (a) Detach AFF and build the AFF rows of the collapsed graph H in
+        # one pass.  AFF is ancestor-closed, so every edge touching it starts
+        # in it: AFF's out-edges are all the support to drop.  H ids: AFF
+        # nodes are 0..na-1, frozen blocks follow in order of first sight.
+        aff = list(affected)
+        na = len(aff)
+        h_of_node = {v: i for i, v in enumerate(aff)}
+        h_of_block: Dict[int, int] = {}
+        rows: List[List[int]] = []
+        for v in aff:
+            bv = block_of(v)
+            row: List[int] = []
+            for w in successors(v):
+                bw = block_of(w)
+                key = (bv, bw)
+                remaining = support[key] - 1
+                if remaining:
+                    support[key] = remaining
+                else:
+                    del support[key]
+                h = h_of_node.get(w)
+                if h is None:
+                    h = h_of_block.get(bw)
+                    if h is None:
+                        h = h_of_block[bw] = na + len(h_of_block)
+                row.append(h)
+            rows.append(row)
+        for v in aff:
             partition.remove_node(v)
 
-        # (b) Re-rank the affected region.
-        self._recompute_ranks_within(affected)
-
-        # (c) Local refinement: (label, rank) start, frozen frontier ids.
-        local_of = self._refine_affected(affected)
-
-        # (d) SplitMerge via quotient bisimulation.
-        merge_map = self._merge_with_frozen(affected, local_of)
-
-        # (e) Materialise the final blocks and restore quotient support.
-        local_groups: Dict[object, List[Node]] = {}
-        for v in affected:
-            local_groups.setdefault(local_of[v], []).append(v)
-        final_of: Dict[Node, int] = {}
-        for local_id, members in local_groups.items():
-            target = merge_map.get(local_id)
-            if target is None:
-                bid = partition.add_block(members)
-            else:
-                bid = target
-                for v in members:
-                    partition.move_node(v, bid)
-            for v in members:
-                final_of[v] = bid
-        for v in affected:
-            for w in self._g.successors(v):
-                bw = final_of[w] if w in affected else partition.block_of(w)
-                support_delta((final_of[v], bw), +1)
-            for p in self._g.predecessors(v):
-                if p in affected:
-                    continue
-                support_delta((partition.block_of(p), final_of[v]), +1)
-
-    def _refine_affected(self, affected: Set[Node]) -> Dict[Node, object]:
-        """Coarsest stable partition of *affected* relative to frozen blocks.
-
-        Local block ids are ``("a", i)`` tuples; frozen frontier blocks
-        appear in signatures as ``("f", bid)`` atoms.  Returns the local id
-        of every affected node.
-        """
-        partition = self._partition
-        groups: Dict[Tuple, List[Node]] = {}
-        for v in affected:
-            groups.setdefault((self._g.label(v), self._rank[v]), []).append(v)
-        local_of: Dict[Node, object] = {}
-        for i, members in enumerate(groups.values()):
-            for v in members:
-                local_of[v] = ("a", i)
-        next_id = len(groups)
-
-        def signature(v: Node) -> frozenset:
-            sig = set()
-            for w in self._g.successors(v):
-                if w in affected:
-                    sig.add(local_of[w])
-                else:
-                    sig.add(("f", partition.block_of(w)))
-            return frozenset(sig)
-
-        while True:
-            by_block: Dict[object, Dict[frozenset, List[Node]]] = {}
-            for v in affected:
-                by_block.setdefault(local_of[v], {}).setdefault(
-                    signature(v), []
-                ).append(v)
-            changed = False
-            for sub in by_block.values():
-                if len(sub) <= 1:
-                    continue
-                changed = True
-                subgroups = sorted(sub.values(), key=len, reverse=True)
-                for extra in subgroups[1:]:
-                    for v in extra:
-                        local_of[v] = ("a", next_id)
-                    next_id += 1
-            if not changed:
-                return local_of
-
-    def _merge_with_frozen(
-        self, affected: Set[Node], local_of: Dict[Node, object]
-    ) -> Dict[object, int]:
-        """Decide which local blocks merge into which frozen blocks.
-
-        Builds the quotient graph over frozen blocks plus local blocks and
-        computes its maximum bisimulation; a local block bisimilar to a
-        frozen block (necessarily unique) merges into it.  Local blocks
-        bisimilar only to each other merge into one fresh block, which
-        :meth:`_rebuild_affected` realises by mapping them to one local id.
-        """
-        partition = self._partition
-        quotient = DiGraph()
-        rep_label: Dict[object, str] = {}
-
+        # (b) H's frozen nodes: every surviving block, with the quotient
+        # edges the support still holds.
         for bid in partition.block_ids():
-            rep = next(iter(partition.members(bid)))
-            node = ("f", bid)
-            quotient.add_node(node, self._g.label(rep))
-            rep_label[node] = self._g.label(rep)
-        local_members: Dict[object, List[Node]] = {}
-        for v in affected:
-            local_members.setdefault(local_of[v], []).append(v)
-        for local_id, members in local_members.items():
-            quotient.add_node(local_id, self._g.label(members[0]))
+            if bid not in h_of_block:
+                h_of_block[bid] = na + len(h_of_block)
+        frozen = list(h_of_block)
+        rows.extend([] for _ in frozen)
+        for a, b in support:
+            rows[h_of_block[a]].append(h_of_block[b])
+        label = self._g.label
+        labels = [label(v) for v in aff]
+        labels += [label(next(iter(partition.members(bid)))) for bid in frozen]
 
-        for (a, b), count in self._q_support.items():
-            if count > 0:
-                quotient.add_edge(("f", a), ("f", b))
-        for v in affected:
-            src = local_of[v]
-            for w in self._g.successors(v):
-                dst = local_of[w] if w in affected else ("f", partition.block_of(w))
-                quotient.add_edge(src, dst)
-
-        qpartition = bisimulation_partition(quotient)
-
-        merge_map: Dict[object, int] = {}
-        local_alias: Dict[object, object] = {}
-        for block in qpartition.blocks():
-            frozen = [n for n in block if isinstance(n, tuple) and n[0] == "f"]
-            locals_ = [n for n in block if not (isinstance(n, tuple) and n[0] == "f")]
-            if not locals_:
-                continue
-            if len(frozen) > 1:
+        # (c) One kernel pass.  Block members come ascending, so a block's
+        # frozen node (there is at most one) comes last.
+        final = [0] * na + frozen  # H id -> block id
+        for block in csr_bisimulation_blocks(CSRGraph.from_rows(rows, labels)):
+            tail = block[-1]
+            if tail < na:
+                bid = partition.add_block([aff[h] for h in block])
+            elif len(block) > 1 and block[-2] >= na:
                 raise AssertionError(
                     "distinct frozen classes became bisimilar; invariant broken"
                 )
-            if frozen:
-                for lid in locals_:
-                    merge_map[lid] = frozen[0][1]
-            elif len(locals_) > 1:
-                # Merge local blocks among themselves: alias to the first.
-                canonical = locals_[0]
-                for lid in locals_[1:]:
-                    local_alias[lid] = canonical
-        if local_alias:
-            for v in affected:
-                lid = local_of[v]
-                local_of[v] = local_alias.get(lid, lid)
-        return merge_map
+            else:
+                bid = frozen[tail - na]
+                for h in block[:-1]:
+                    partition.move_node(aff[h], bid)
+            for h in block:
+                final[h] = bid
+
+        # (d) Re-attach AFF's out-edges (one row entry each) to the support.
+        for h in range(na):
+            bv = final[h]
+            for t in rows[h]:
+                key = (bv, final[t])
+                support[key] = support.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     # Artifact construction

@@ -14,7 +14,7 @@ around invariants that make every step locally checkable:
    SCC's *internal* subgraph only.  (The paper's prose updates "topological
    ranks" and "finds all the newly formed SCCs"; edge multiplicities and the
    internal member adjacency are exactly the state its omitted ``Split`` /
-   ``Merge`` procedures need, cf. DESIGN.md.)
+   ``Merge`` procedures need; phase 3 below uses them.)
 
 2. **Redundant update reduction** (line 1/9 of ``incRCM``).  An insertion
    whose source SCC already reaches the target SCC, or a deletion that

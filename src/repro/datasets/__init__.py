@@ -3,7 +3,8 @@
 The paper evaluates on SNAP / web-crawl datasets that are unavailable
 offline (and far beyond pure-Python benchmark budgets); the catalog provides
 deterministic synthetic stand-ins per topology *family* that preserve the
-structural drivers of each result — see DESIGN.md's substitution table.
+structural drivers of each result — :mod:`repro.datasets.catalog` says,
+per family, which drivers each stand-in keeps.
 
 * :mod:`repro.datasets.catalog` — the 12 named datasets of Tables 1 and 2;
 * :mod:`repro.datasets.patterns` — the pattern-query generator

@@ -27,7 +27,7 @@ The two backends split responsibilities:
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, List, NamedTuple, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.graph.digraph import DiGraph, NodeIndexer
 
@@ -87,6 +87,20 @@ def reverse_from_forward(
             fill[j] += 1
         start = end
     return rindptr, rindices
+
+
+def _intern_labels(labels: Iterable[str]) -> Tuple[List[int], List[str]]:
+    """``(codes, names)``: codes assigned in order of first appearance."""
+    names: List[str] = []
+    code_of: Dict[str, int] = {}
+    codes: List[int] = []
+    for lab in labels:
+        code = code_of.get(lab)
+        if code is None:
+            code = code_of[lab] = len(names)
+            names.append(lab)
+        codes.append(code)
+    return codes, names
 
 
 class CSRGraph:
@@ -193,19 +207,7 @@ class CSRGraph:
             indptr_list[i + 1] = pos
 
         rindptr_list, rflat = reverse_from_forward(n, indptr_list, flat)
-
-        label_names: List[str] = []
-        label_code: Dict[str, int] = {}
-        label_list = [0] * n
-        get_label = graph.label
-        for i, v in enumerate(nodes):
-            lab = get_label(v)
-            code = label_code.get(lab)
-            if code is None:
-                code = len(label_names)
-                label_code[lab] = code
-                label_names.append(lab)
-            label_list[i] = code
+        label_list, label_names = _intern_labels(map(graph.label, nodes))
 
         return cls(
             n=n,
@@ -217,6 +219,37 @@ class CSRGraph:
             label_codes=label_list,
             label_names=label_names,
             indexer=indexer,
+        )
+
+    @classmethod
+    def from_rows(
+        cls, rows: Sequence[Iterable[int]], labels: Sequence[str]
+    ) -> "CSRGraph":
+        """An integer graph whose node ``i`` has successors ``rows[i]``.
+
+        For kernel inputs that are built directly as integers and never
+        exist as a :class:`DiGraph` (e.g. incPCM's collapsed graph): node
+        ids are their own names and ``labels[i]`` is node ``i``'s label.
+        Rows may repeat a successor; each row is deduplicated and sorted.
+        """
+        n = len(rows)
+        indptr = [0] * (n + 1)
+        flat: List[int] = []
+        for i, row in enumerate(rows):
+            flat += sorted(set(row))
+            indptr[i + 1] = len(flat)
+        rindptr, rflat = reverse_from_forward(n, indptr, flat)
+        label_list, label_names = _intern_labels(labels)
+        return cls(
+            n=n,
+            m=len(flat),
+            indptr=indptr,
+            indices=flat,
+            rindptr=rindptr,
+            rindices=rflat,
+            label_codes=label_list,
+            label_names=label_names,
+            indexer=NodeIndexer(range(n)),
         )
 
     @classmethod

@@ -37,7 +37,7 @@ dict implementations because no per-edge hashing happens anywhere.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.graph.csr import CSRGraph
 
@@ -584,8 +584,10 @@ def csr_bisimulation_blocks(
     (see its docstring for the invariants) with nodes as dense ints: strata
     in ascending rank order, initial grouping by ``(label, finalized
     lower-rank successor blocks)``, then an intra-stratum fixpoint on the
-    same-rank successor signatures.  Returns the blocks as lists of node
-    ids, each sorted ascending, in canonical (first-member) order.
+    same-rank successor signatures (worklist-driven: after the first round
+    only predecessors of moved nodes are re-signed, over :meth:`CSRGraph.rev`).
+    Returns the blocks as lists of node ids, each sorted ascending, in
+    canonical (first-member) order.
     """
     n = csr.n
     if cond is None:
@@ -600,9 +602,12 @@ def csr_bisimulation_blocks(
         strata[node_rank[v] + 1].append(v)  # +1: slot 0 holds rank -∞
 
     indptr, indices = csr.fwd()
+    rindptr, rindices = csr.rev()
     label_ids = csr.label_codes()
     final_block = [-1] * n
     local_block = [0] * n  # scratch, valid only for the current stratum
+    empty: frozenset = frozenset()
+    sig = [empty] * n  # same-rank signature; immovable nodes keep it empty
     blocks: List[List[int]] = []
 
     for slot in range(len(strata)):
@@ -625,67 +630,61 @@ def csr_bisimulation_blocks(
             else:
                 bucket.append(v)
 
-        next_id = 0
-        for members in groups.values():
-            for v in members:
-                local_block[v] = next_id
-            next_id += 1
+        members: List[List[int]] = list(groups.values())  # local id -> nodes
+        for lid, group in enumerate(members):
+            for v in group:
+                local_block[v] = lid
 
-        # Only nodes with a same-rank successor can still move.
-        movable: List[int] = []
+        # Intra-stratum fixpoint on same-rank successor signatures, driven by
+        # a worklist.  A node is re-signed only when a same-rank successor
+        # changed block, and only blocks holding a re-signed node regroup;
+        # every other cached signature is still current.  Only nodes with a
+        # same-rank successor can move (the rest keep the empty signature).
+        work: List[int] = []
         for v in stratum:
             for ei in range(indptr[v], indptr[v + 1]):
                 if node_rank[indices[ei]] == rank:
-                    movable.append(v)
+                    work.append(v)
                     break
-
-        while movable:
-            by_old: Dict[int, Dict[frozenset, List[int]]] = {}
-            for v in movable:
+        while work:
+            touched: Dict[int, None] = {}
+            for v in work:
                 sig_list: List[int] = []
                 for ei in range(indptr[v], indptr[v + 1]):
                     c = indices[ei]
                     if node_rank[c] == rank:
                         sig_list.append(local_block[c])
-                sig = frozenset(sig_list)
-                sub = by_old.get(local_block[v])
-                if sub is None:
-                    by_old[local_block[v]] = {sig: [v]}
-                else:
-                    bucket = sub.get(sig)
+                sig[v] = frozenset(sig_list)
+                touched[local_block[v]] = None
+            moved: List[int] = []
+            for lid in touched:
+                by_sig: Dict[frozenset, List[int]] = {}
+                for v in members[lid]:
+                    bucket = by_sig.get(sig[v])
                     if bucket is None:
-                        sub[sig] = [v]
+                        by_sig[sig[v]] = [v]
                     else:
                         bucket.append(v)
-            block_sizes: Dict[int, int] = {}
-            for v in stratum:
-                b = local_block[v]
-                block_sizes[b] = block_sizes.get(b, 0) + 1
-            changed = False
-            for old_bid, sub in by_old.items():
-                movable_here = sum(len(g) for g in sub.values())
-                has_immovable = block_sizes[old_bid] > movable_here
-                subgroups = sorted(sub.items(), key=lambda kv: len(kv[1]))
-                if has_immovable:
-                    # Immovable members have empty same-rank signatures; any
-                    # movable subgroup with a nonempty signature must leave.
-                    for sig, group in subgroups:
-                        if sig:
-                            for v in group:
-                                local_block[v] = next_id
-                            next_id += 1
-                            changed = True
+                if len(by_sig) == 1:
                     continue
-                if len(subgroups) <= 1:
-                    continue
-                changed = True
-                # Keep the largest subgroup under the old id.
-                for sig, group in subgroups[:-1]:
+                # Keep the largest group under the old id; the rest move.
+                subgroups = sorted(by_sig.values(), key=len)
+                members[lid] = subgroups.pop()
+                for group in subgroups:
+                    new_id = len(members)
+                    members.append(group)
                     for v in group:
-                        local_block[v] = next_id
-                    next_id += 1
-            if not changed:
-                break
+                        local_block[v] = new_id
+                    moved += group
+            # Re-sign the same-rank predecessors of every moved node.
+            seen: Set[int] = set()
+            work = []
+            for v in moved:
+                for ei in range(rindptr[v], rindptr[v + 1]):
+                    p = rindices[ei]
+                    if node_rank[p] == rank and p not in seen:
+                        seen.add(p)
+                        work.append(p)
 
         # Finalize the stratum: one global block per surviving local id.
         by_local: Dict[int, int] = {}

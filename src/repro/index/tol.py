@@ -241,23 +241,21 @@ class TOLIndex:
             raise TOLError(f"node not indexed: {u!r} -> {v!r}") from None
         if su == sv:
             return True
-        lo = self._label_out[su] | {su}
-        li = self._label_in[sv] | {sv}
-        if len(lo) > len(li):
-            lo, li = li, lo
-        return any(h in li for h in lo)
+        lo = self._label_out[su]
+        li = self._label_in[sv]
+        return su in li or sv in lo or not lo.isdisjoint(li)
 
     # TwoHopIndex spelling, so cross-validation loops read uniformly.
     query = reachable
 
     def _reach_comp(self, a: int, b: int) -> bool:
+        # (L_out(a) ∪ {a}) ∩ (L_in(b) ∪ {b}) ≠ ∅, without building either
+        # union; reachable() inlines the same test.
         if a == b:
             return True
-        lo = self._label_out[a] | {a}
-        li = self._label_in[b] | {b}
-        if len(lo) > len(li):
-            lo, li = li, lo
-        return any(h in li for h in lo)
+        lo = self._label_out[a]
+        li = self._label_in[b]
+        return a in li or b in lo or not lo.isdisjoint(li)
 
     # ------------------------------------------------------------------
     # Incremental maintenance

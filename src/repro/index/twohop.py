@@ -11,8 +11,9 @@ Construction here is *pruned landmark labeling*: process nodes in
 descending-degree order; each landmark BFSes forward/backward, skipping any
 node whose reachability to/from the landmark is already covered by existing
 labels.  This produces a correct (and in practice small) 2-hop cover without
-the original set-cover machinery, which is exponential-ish to run exactly —
-see DESIGN.md's substitution table.  Cyclic graphs are handled by indexing
+the original set-cover machinery, which is exponential-ish to run exactly.
+The cover differs from the paper's, but the answers and the Exp-2 memory
+comparison do not depend on which cover is built.  Cyclic graphs are handled by indexing
 the condensation and mapping queries through the SCC ids.
 
 Two construction backends share the pruned-BFS logic:

@@ -275,6 +275,20 @@ def test_csr_graph_structure():
     assert csr.rindptr[csr.n] == csr.m
 
 
+def test_from_rows_freezes_like_from_digraph():
+    # Repeated and unsorted successors collapse to the sorted, duplicate-free
+    # rows a DiGraph over the ints 0..n-1 would freeze to.
+    rows = [[2, 1, 2], [], [0, 2, 2], [3]]
+    labels = ["A", "B", "A", "C"]
+    g = DiGraph()
+    for i, lab in enumerate(labels):
+        g.add_node(i, lab)
+    for i, row in enumerate(rows):
+        for j in row:
+            g.add_edge(i, j)
+    assert CSRGraph.from_rows(rows, labels).buffers() == CSRGraph.from_digraph(g).buffers()
+
+
 def test_empty_and_singleton():
     empty = DiGraph()
     csr = CSRGraph.from_digraph(empty)

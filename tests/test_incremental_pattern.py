@@ -4,8 +4,10 @@ import random
 
 from repro.core.incremental_pattern import IncrementalPatternCompressor
 from repro.core.pattern import compress_pattern
+from repro.datasets import load, mixed_batch
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import gnm_random_graph
+from repro.graph.scc import strongly_connected_components_within
 from repro.queries.matching import match, match_naive
 from repro.datasets.patterns import random_pattern
 
@@ -137,3 +139,40 @@ def test_cycle_formation_updates_partition():
     work.add_edge("b", "a")
     assert_matches_batch(inc, work)
     assert not inc.partition().same_block("a", "c")
+
+
+class _RecordingCompressor(IncrementalPatternCompressor):
+    """Keeps the affected area of the last batch for inspection."""
+
+    last_area: frozenset = frozenset()
+
+    def _rebuild_affected(self, affected):
+        self.last_area = frozenset(affected)
+        super()._rebuild_affected(affected)
+
+
+def test_social_batches_through_the_giant_scc_match_batch():
+    # The benchmark's evolving-engine shape at 1/10 scale: mixed batches on
+    # the social stand-in, each undone by its exact inverse.  Every batch
+    # reaches the giant SCC, so AFF holds a large cycle, unlike the tiny
+    # random graphs above.
+    g = load("youtube", seed=1, scale=0.1)
+    inc = _RecordingCompressor(g)
+    work = g.copy()
+    for step in range(6):
+        batch = mixed_batch(work, 12, insert_ratio=0.6, seed=100 + step)
+        inverse = [("-" if op == "+" else "+", u, v) for op, u, v in reversed(batch)]
+        for label, updates in (("batch", batch), ("inverse", inverse)):
+            for op, u, v in updates:
+                (work.add_edge if op == "+" else work.remove_edge)(u, v)
+            inc.apply(updates)
+            context = f"step {step} {label}"
+            assert_matches_batch(inc, work, context)
+            part = inc.partition()
+            recount = {}
+            for u, v in work.edges():
+                key = (part.block_of(u), part.block_of(v))
+                recount[key] = recount.get(key, 0) + 1
+            assert inc._q_support == recount, context
+            sccs = strongly_connected_components_within(work, set(inc.last_area))
+            assert max(map(len, sccs)) > 1, context
